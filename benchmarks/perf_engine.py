@@ -5,10 +5,12 @@ against, and writes them to ``BENCH_engine.json``:
 
 * ``engine.events_per_sec`` -- raw event-loop dispatch throughput of
   :class:`repro.sim.engine.Simulator` (no profiler, ``max_events`` budget,
-  i.e. the exact loop experiment runs sit in);
+  i.e. the exact loop experiment runs sit in); recorded, not gated: a
+  self-rescheduling no-op loop says little about real runs;
 * ``packet.events_per_sec`` -- end-to-end throughput of one star-topology
   DCTCP run (topology + transport + AQM on the hot path, not just the bare
-  loop), which is what experiment wall-clock actually scales with;
+  loop), which is what experiment wall-clock actually scales with, and
+  ``packet.events``, the run's deterministic event count;
 * ``fluid.flows_per_sec`` / ``fluid.speedup_vs_packet`` -- throughput of
   the flow-level fluid engine on the same cell the packet benchmark runs,
   and its wall-clock speedup over the packet engine (the model-fidelity
@@ -23,10 +25,11 @@ Usage::
     python benchmarks/perf_engine.py [--jobs N] [--events N] [--out PATH]
     python benchmarks/perf_engine.py --compare OLD_BENCH.json
 
-``--compare`` gates the fresh numbers against a previous payload using the
-validation subsystem's perf verdict (throughput ratio >= 0.8 passes,
->= 0.5 warns, below fails; host mismatches cap at warn) and exits
-non-zero on a confirmed regression.
+``--compare`` gates ``packet.events_per_sec`` against a previous payload
+using the validation subsystem's perf verdict (throughput ratio >= 0.8
+passes, >= 0.5 warns, below fails; host mismatches cap at warn; a
+different ``packet.events`` count fails on any host) and exits non-zero
+on a confirmed regression.
 
 Not a pytest module on purpose: perf numbers belong in a JSON artifact,
 not in an assertion.  Run it on a quiet machine; the sweep speedup is only

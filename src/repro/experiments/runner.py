@@ -203,7 +203,6 @@ def _result(
         drops += port.stats.dropped_total
     if manifest is not None:
         manifest.events = network.sim.events_processed
-        manifest.scheduler = network.sim.scheduler
         telemetry = get_active()
         if telemetry is not None:
             telemetry.add_manifest(manifest)

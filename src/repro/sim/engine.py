@@ -1,17 +1,12 @@
 """Discrete-event simulation engine.
 
-A :class:`Simulator` owns a monotonic virtual clock and a pluggable event
-queue (see :mod:`repro.sim.eventq`).  The dispatch contract is a total
-order by ``(time, insertion sequence)``: earlier virtual times first, and
-among events carrying the same timestamp, the one scheduled first runs
-first -- which keeps runs fully deterministic regardless of which queue
-implementation is selected.
-
-Two queues are available, selected by ``Simulator(scheduler=...)`` or the
-``REPRO_SCHEDULER`` environment variable: ``"calendar"`` (default, a lazy
-sorted-batch queue with O(1) amortized insert for the near-monotonic
-timestamps a network DES produces) and ``"heap"`` (the classic binary
-heap).  Both dispatch in byte-identical order.
+A :class:`Simulator` owns a monotonic virtual clock and a binary-heap event
+queue of ``(time, insertion sequence, callback, args)`` tuples.  The
+dispatch contract is the total order of those tuples: earlier virtual
+times first, and among events carrying the same timestamp, the one
+scheduled first runs first -- which keeps runs fully deterministic.
+``events_processed`` is updated per dispatch on every run path, so a
+callback can read a live count mid-run.
 
 Cancellable timers (used heavily by TCP retransmission logic) are provided
 by :class:`Timer`.  A timer keeps at most a handful of queue entries alive
@@ -24,24 +19,19 @@ entry per ACK into about two per RTO interval.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..telemetry.profiler import HEAP_SAMPLE_MASK, RunProfiler
 from ..telemetry.runtime import get_active
-from .eventq import (
-    SCHEDULER_ENV,
-    SimulationError,
-    SimulationStalled,
-    make_event_queue,
-)
+from .eventq import SimulationError, SimulationStalled
 
 __all__ = [
     "Simulator",
     "Timer",
     "SimulationError",
     "SimulationStalled",
-    "SCHEDULER_ENV",
 ]
 
 _INF = float("inf")
@@ -56,67 +46,52 @@ class Simulator:
         sim.schedule(0.001, callback, arg1, arg2)
         sim.run(until=1.0)
 
-    ``scheduler`` selects the event-queue implementation by name
-    (``"calendar"`` or ``"heap"``); when omitted, ``REPRO_SCHEDULER``
-    decides, defaulting to ``"calendar"``.  (This is the *event*
-    scheduler; packet schedulers -- FIFO/DWRR/strict-priority -- live in
-    :mod:`repro.sim.scheduler` and are per-port.)
-
-    ``schedule`` and ``schedule_at`` are instance attributes bound
-    directly to the queue's methods, so the per-event insert path has no
-    delegation layer on top of the queue itself.
+    ``now`` and ``events_processed`` are plain attributes: the clock is
+    read on nearly every callback, so it costs one slot load.  The
+    ``profiler`` attribute (a :class:`RunProfiler`, or None) is taken from
+    the active telemetry hub at construction and may be replaced later.
     """
 
-    __slots__ = ("_q", "schedule", "schedule_at", "_running", "_profiler")
+    __slots__ = (
+        "now",
+        "events_processed",
+        "profiler",
+        "_heap",
+        "_sequence",
+        "_running",
+    )
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        self._q = make_event_queue(scheduler)
-        # Direct bindings: sim.schedule(...) IS the queue's insert.
-        self.schedule: Callable[..., None] = self._q.schedule
-        self.schedule_at: Callable[..., None] = self._q.schedule_at
+    def __init__(self) -> None:
+        self.now: float = 0.0
+        self.events_processed: int = 0
+        self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
+        self._sequence: int = 0
         self._running: bool = False
         telemetry = get_active()
-        self._profiler: Optional[RunProfiler] = (
+        self.profiler: Optional[RunProfiler] = (
             telemetry.profiler if telemetry is not None else None
         )
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._q.now
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay}s in the past")
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (self.now + delay, seq, callback, args))
 
-    @property
-    def scheduler(self) -> str:
-        """Name of the active event-queue implementation."""
-        return self._q.kind
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events dispatched so far.
-
-        With the ``"heap"`` scheduler this is updated per dispatch, so a
-        callback can observe a live value mid-run.  The ``"calendar"``
-        scheduler's fast drain path synchronizes it at batch boundaries
-        instead (that is where its throughput comes from); it is always
-        exact between ``run()`` calls, and exact per-event whenever a
-        profiler or ``no_progress_limit`` puts the engine on the
-        instrumented loop.
-        """
-        return self._q.events_processed
-
-    @property
-    def profiler(self) -> Optional[RunProfiler]:
-        """Profiler collecting run statistics, if one is attached."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler: Optional[RunProfiler]) -> None:
-        self._profiler = profiler
+    def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute virtual time ``when``."""
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule at {when}, current time is {self.now}"
+            )
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (when, seq, callback, args))
 
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including lazily cancelled ones)."""
-        return len(self._q)
+        return len(self._heap)
 
     def run(
         self,
@@ -144,33 +119,64 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            q = self._q
-            start_events = q.events_processed
+            heap = self._heap
+            start_events = self.events_processed
             limit = None if max_events is None else start_events + max_events
-            profiler = self._profiler
+            profiler = self.profiler
             if profiler is None and no_progress_limit is None:
-                # Fast path: the queue owns the dispatch loop.
-                q.drain(until, limit)
+                self._drain(until, limit)
             else:
                 self._run_instrumented(until, limit, profiler, no_progress_limit)
             if (
                 raise_on_stall
                 and limit is not None
-                and q.events_processed >= limit
-                and len(q)
+                and self.events_processed >= limit
+                and heap
+                and (until is None or heap[0][0] <= until)
             ):
-                head = q.peek_when()
-                if until is None or (head is not None and head <= until):
-                    raise SimulationStalled(
-                        clock=q.now,
-                        events=q.events_processed - start_events,
-                        pending=len(q),
-                        reason="budget",
-                    )
-            if until is not None and q.now < until:
-                q.now = until
+                raise SimulationStalled(
+                    clock=self.now,
+                    events=self.events_processed - start_events,
+                    pending=len(heap),
+                    reason="budget",
+                )
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
+
+    def _drain(self, until: Optional[float], limit: Optional[int]) -> None:
+        """The default dispatch loop: pop, advance the clock, call, count.
+
+        ``limit`` is an absolute ``events_processed`` value, not a delta.
+        Each combination of bounds gets its own loop so the common
+        unbounded run tests nothing but the heap per event.
+        """
+        heap = self._heap
+        pop = heappop  # local binding: dominant call in the hot loop
+        if until is None:
+            if limit is None:
+                while heap:
+                    when, _, callback, args = pop(heap)
+                    self.now = when
+                    callback(*args)
+                    self.events_processed += 1
+            else:
+                while heap and self.events_processed < limit:
+                    when, _, callback, args = pop(heap)
+                    self.now = when
+                    callback(*args)
+                    self.events_processed += 1
+        else:
+            while heap:
+                if heap[0][0] > until:
+                    break
+                if limit is not None and self.events_processed >= limit:
+                    break
+                when, _, callback, args = pop(heap)
+                self.now = when
+                callback(*args)
+                self.events_processed += 1
 
     def _run_instrumented(
         self,
@@ -179,28 +185,25 @@ class Simulator:
         profiler: Optional[RunProfiler],
         no_progress_limit: Optional[int],
     ) -> None:
-        """Per-event loop: profiler sampling and/or no-progress detection.
-
-        Uses the queue's single-event ``pop_due`` API, so both queue
-        implementations keep ``events_processed`` live here.
-        """
-        q = self._q
-        start_events = q.events_processed
+        """Per-event loop: profiler sampling and/or no-progress detection."""
+        heap = self._heap
+        start_events = self.events_processed
         until_bound = _INF if until is None else until
         wall_start = perf_counter()
-        virtual_start = q.now
-        peak_depth = len(q)
-        last_clock = q.now
+        virtual_start = self.now
+        peak_depth = len(heap)
+        last_clock = self.now
         same_clock = 0
         no_progress_stall = False
         while True:
-            if limit is not None and q.events_processed >= limit:
+            if limit is not None and self.events_processed >= limit:
                 break
-            event = q.pop_due(until_bound)
-            if event is None:
+            if not heap or heap[0][0] > until_bound:
                 break
-            when = event[0]
-            event[1](*event[2])
+            when, _, callback, args = heappop(heap)
+            self.now = when
+            self.events_processed += 1
+            callback(*args)
             if no_progress_limit is not None:
                 if when > last_clock:
                     last_clock = when
@@ -212,22 +215,22 @@ class Simulator:
                         break
             if (
                 profiler is not None
-                and q.events_processed & HEAP_SAMPLE_MASK == 0
-                and len(q) > peak_depth
+                and self.events_processed & HEAP_SAMPLE_MASK == 0
+                and len(heap) > peak_depth
             ):
-                peak_depth = len(q)
+                peak_depth = len(heap)
         if profiler is not None:
             profiler.record_run(
-                events=q.events_processed - start_events,
+                events=self.events_processed - start_events,
                 wall_seconds=perf_counter() - wall_start,
-                virtual_seconds=q.now - virtual_start,
+                virtual_seconds=self.now - virtual_start,
                 peak_heap_depth=peak_depth,
             )
         if no_progress_stall:
             raise SimulationStalled(
-                clock=q.now,
-                events=q.events_processed - start_events,
-                pending=len(q),
+                clock=self.now,
+                events=self.events_processed - start_events,
+                pending=len(heap),
                 reason="no-progress",
             )
 

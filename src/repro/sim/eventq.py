@@ -1,97 +1,13 @@
-"""Pluggable event queues for the DES engine.
+"""Errors raised by the DES engine's event loop (:mod:`repro.sim.engine`).
 
-The engine's dispatch contract is a total order over events by
-``(time, insertion sequence)``: earlier virtual times first, and among
-events carrying the same timestamp, the one scheduled first runs first.
-Two interchangeable implementations of that contract live here:
-
-:class:`HeapEventQueue`
-    The classic binary heap (the seed implementation).  Every event is a
-    ``(when, seq, callback, args)`` tuple; ``heappush``/``heappop`` cost
-    O(log n) each.  ``events_processed`` is updated per dispatch, so a
-    callback can observe a live value mid-run.
-
-:class:`CalendarEventQueue`
-    A lazy sorted-batch queue ("calendar" in the bucket-queue sense of
-    deferring order work until dispatch time).  Inserts are a plain
-    ``list.append`` -- O(1), no comparisons -- into an unsorted *far*
-    tier; dispatch peels sorted *batches* of up to :data:`BATCH_EVENTS`
-    events off that tier and runs them with a bare ``for`` loop.  For the
-    near-monotonic timestamp streams a network DES produces this is
-    amortized O(1) per event and roughly 3-4x the heap's throughput in
-    CPython, because both the insert and the dispatch path stay inside C
-    bytecode fast paths (append / timsort / list iteration) instead of
-    paying ~2 log2(n) Python-level comparisons per event.
-
-    Ordering is preserved without storing sequence numbers: events are
-    3-tuples ``(when, callback, args)`` and batches are sorted with
-    ``list.sort(key=itemgetter(0))`` -- timsort is stable, so insertion
-    order is the tie-break, which is exactly the ``(time, sequence)``
-    contract.  An event scheduled *inside* the active batch's time window
-    (a "straggler") is binary-inserted into the live batch; since its
-    time is ``>= now`` and its implicit sequence number is the largest so
-    far, its slot is always ahead of the dispatch cursor, and Python's
-    index-based list iterators pick up insertions ahead of the cursor.
-
-    Pathological insert patterns (a large fraction of stragglers, e.g. a
-    workload that keeps scheduling into a wide active window) degrade the
-    binary-insert path toward O(batch) memmoves, so the queue watches the
-    straggler ratio and irreversibly converts itself to a heap when it
-    crosses :data:`FALLBACK_RATIO` -- correctness never depends on the
-    timestamp distribution, only speed does.
-
-    Two deliberate semantic differences from the heap, both documented in
-    DESIGN.md: ``events_processed`` is synchronized at batch boundaries
-    (not per event) on the fast drain path, and a callback that raises
-    mid-batch leaves the dispatch position at the first event of the
-    current timestamp (events at exactly ``now`` may be re-dispatched if
-    the simulation is resumed after the exception; discard the simulator
-    instead).
-
-Selection is by name -- ``"calendar"`` (default) or ``"heap"`` -- via
-``Simulator(scheduler=...)`` or the ``REPRO_SCHEDULER`` environment
-variable; see :func:`resolve_scheduler`.
+The event queue itself is the binary heap inside
+:class:`~repro.sim.engine.Simulator`; this module only holds the exception
+types, which the engine re-exports.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from heapq import heappop, heappush
-from itertools import islice
-from operator import itemgetter
-from typing import Any, Callable, List, Optional, Tuple
-
-__all__ = [
-    "SimulationError",
-    "SimulationStalled",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "SCHEDULER_ENV",
-    "SCHEDULER_NAMES",
-    "resolve_scheduler",
-    "make_event_queue",
-]
-
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-"""Environment variable selecting the default event queue by name."""
-
-SCHEDULER_NAMES = ("calendar", "heap")
-
-DEFAULT_SCHEDULER = "calendar"
-
-BATCH_EVENTS = 4096
-"""Maximum events per dispatch batch.  Large enough to amortize the
-per-batch sort and bookkeeping, small enough that a straggler's binary
-insert stays a short memmove."""
-
-FALLBACK_MIN_STRAGGLERS = 4096
-FALLBACK_RATIO = 4  # fall back when stragglers exceed 1/RATIO of dispatches
-
-_INF = float("inf")
-_time0 = itemgetter(0)
-
-Event = Tuple[float, Callable[..., None], tuple]
+__all__ = ["SimulationError", "SimulationStalled"]
 
 
 class SimulationError(RuntimeError):
@@ -120,487 +36,3 @@ class SimulationStalled(SimulationError):
             f"simulation stalled ({reason}): clock={clock:.9f}s after "
             f"{events} events with {pending} events still pending"
         )
-
-
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Resolve the event-queue name: explicit argument, then the
-    ``REPRO_SCHEDULER`` environment variable, then ``"calendar"``.
-
-    An unknown explicit argument raises; an unknown environment value
-    warns and falls back to the default (matching how ``REPRO_FULL``
-    handles garbage), so a typo in CI cannot silently change semantics
-    *and* cannot hard-crash every run.
-    """
-    if name is not None:
-        resolved = name.strip().lower()
-        if resolved not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {name!r}: expected one of {SCHEDULER_NAMES}"
-            )
-        return resolved
-    raw = os.environ.get(SCHEDULER_ENV, "").strip().lower()
-    if not raw:
-        return DEFAULT_SCHEDULER
-    if raw not in SCHEDULER_NAMES:
-        warnings.warn(
-            f"{SCHEDULER_ENV}={raw!r} is not a recognized scheduler "
-            f"(expected one of {SCHEDULER_NAMES}); using {DEFAULT_SCHEDULER!r}",
-            stacklevel=2,
-        )
-        return DEFAULT_SCHEDULER
-    return raw
-
-
-def make_event_queue(name: Optional[str] = None):
-    """Build the event queue selected by ``name`` (see
-    :func:`resolve_scheduler` for the resolution order)."""
-    resolved = resolve_scheduler(name)
-    if resolved == "heap":
-        return HeapEventQueue()
-    return CalendarEventQueue()
-
-
-class HeapEventQueue:
-    """Binary-heap event queue: the seed engine's data structure.
-
-    ``events_processed`` is incremented per dispatch (not batched at
-    return) so monitors and profilers can read a live value mid-run; the
-    dispatch budget folds into the loop condition either way.
-    """
-
-    kind = "heap"
-
-    __slots__ = ("now", "events_processed", "_heap", "_sequence")
-
-    def __init__(self) -> None:
-        self.now: float = 0.0
-        self.events_processed: int = 0
-        self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._sequence: int = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        self._sequence += 1
-        heappush(self._heap, (self.now + delay, self._sequence, callback, args))
-
-    def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute virtual time ``when``."""
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when}, current time is {self.now}"
-            )
-        self._sequence += 1
-        heappush(self._heap, (when, self._sequence, callback, args))
-
-    def peek_when(self) -> Optional[float]:
-        """Timestamp of the next event, or None when empty."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop_due(self, until: float) -> Optional[Event]:
-        """Pop the next event if its time is <= ``until``; advances the
-        clock and the dispatch counter.  Single-event API used by the
-        engine's instrumented loop."""
-        heap = self._heap
-        if not heap or heap[0][0] > until:
-            return None
-        when, _seq, callback, args = heappop(heap)
-        self.now = when
-        self.events_processed += 1
-        return (when, callback, args)
-
-    def drain(self, until: Optional[float], limit: Optional[int]) -> None:
-        """Dispatch events in order until the queue empties, the next
-        event lies beyond ``until``, or ``events_processed`` reaches
-        ``limit`` (an absolute count, not a delta)."""
-        heap = self._heap
-        pop = heappop  # local binding: dominant call in the hot loop
-        if until is None:
-            if limit is None:
-                while heap:
-                    when, _, callback, args = pop(heap)
-                    self.now = when
-                    callback(*args)
-                    self.events_processed += 1
-            else:
-                while heap and self.events_processed < limit:
-                    when, _, callback, args = pop(heap)
-                    self.now = when
-                    callback(*args)
-                    self.events_processed += 1
-        else:
-            while heap:
-                if heap[0][0] > until:
-                    break
-                if limit is not None and self.events_processed >= limit:
-                    break
-                when, _, callback, args = pop(heap)
-                self.now = when
-                callback(*args)
-                self.events_processed += 1
-
-
-class CalendarEventQueue:
-    """Lazy sorted-batch event queue with a heap fallback.
-
-    Structure (all times in one of three tiers):
-
-    * ``_far``: unsorted arrivals with ``when >= _horizon``.  Insert is a
-      cached ``list.append`` (``_push``).
-    * ``_res``: sorted ascending reservoir -- the spill when a sort
-      produced more than :data:`BATCH_EVENTS` events.
-    * ``_batch`` + ``_cursor``: the active dispatch window, sorted
-      ascending; ``_horizon`` is ``_batch[-1][0]`` (or ``-inf`` before
-      the first batch), and every event in ``_far``/``_res`` has
-      ``when >= _horizon``.
-
-    Stragglers (``when < _horizon``) binary-insert into the live batch at
-    or after the cursor -- see the module docstring for why that position
-    is always ahead of the dispatch iterator.  The exhausted batch list is
-    recycled as the next ``_far`` buffer to avoid a list allocation per
-    batch.
-
-    After the heap fallback triggers (``_heap is not None``) the horizon
-    is pinned to ``+inf`` so every insert routes through the slow branch
-    of ``schedule``/``schedule_at`` into the heap; the calendar tiers stay
-    empty.  (Corner case: an event scheduled at exactly ``+inf`` compares
-    ``>= _horizon`` and lands in ``_far`` even in heap mode, i.e. it is
-    never dispatched -- an infinitely-far event is unreachable in either
-    mode, so nothing is lost.)
-    """
-
-    kind = "calendar"
-
-    __slots__ = (
-        "now",
-        "events_processed",
-        "_far",
-        "_res",
-        "_batch",
-        "_cursor",
-        "_horizon",
-        "_stragglers",
-        "_push",
-        "_heap",
-        "_sequence",
-    )
-
-    def __init__(self) -> None:
-        self.now: float = 0.0
-        self.events_processed: int = 0
-        self._far: List[Event] = []
-        self._res: List[Event] = []
-        self._batch: List[Event] = []
-        self._cursor: int = 0
-        self._horizon: float = -_INF
-        self._stragglers: int = 0
-        self._push = self._far.append
-        self._heap: Optional[List[Tuple[float, int, Callable[..., None], tuple]]] = None
-        self._sequence: int = 0
-
-    def __len__(self) -> int:
-        if self._heap is not None:
-            return len(self._heap)
-        return len(self._far) + len(self._res) + len(self._batch) - self._cursor
-
-    # ------------------------------------------------------------- insertion
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        when = self.now + delay
-        if when >= self._horizon:
-            self._push((when, callback, args))
-            return
-        # Straggler: the event falls inside the active batch window.
-        # (Inlined rather than a helper: real workloads form small batches,
-        # so this branch and the batch formation below are warm enough that
-        # an extra method call per hit shows up in profiles.)
-        heap = self._heap
-        if heap is not None:
-            self._sequence = seq = self._sequence + 1
-            heappush(heap, (when, seq, callback, args))
-            return
-        self._stragglers += 1
-        batch = self._batch
-        lo = self._cursor
-        hi = len(batch)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if batch[mid][0] <= when:  # implicit seq is largest: after ties
-                lo = mid + 1
-            else:
-                hi = mid
-        batch.insert(lo, (when, callback, args))
-
-    def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
-        """Run ``callback(*args)`` at absolute virtual time ``when``."""
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at {when}, current time is {self.now}"
-            )
-        if when >= self._horizon:
-            self._push((when, callback, args))
-            return
-        heap = self._heap
-        if heap is not None:
-            self._sequence = seq = self._sequence + 1
-            heappush(heap, (when, seq, callback, args))
-            return
-        self._stragglers += 1
-        batch = self._batch
-        lo = self._cursor
-        hi = len(batch)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if batch[mid][0] <= when:
-                lo = mid + 1
-            else:
-                hi = mid
-        batch.insert(lo, (when, callback, args))
-
-    # -------------------------------------------------------------- dispatch
-
-    def _form_batch(self) -> bool:
-        """Replace the exhausted batch with the next one.  Returns False
-        when no events remain.  May instead trigger the heap fallback, in
-        which case it returns True with ``_heap`` set -- callers recheck.
-
-        Requires ``_cursor``/``_batch``/``events_processed`` to be
-        current (drain syncs them before calling).
-        """
-        far = self._far
-        res = self._res
-        batch = self._batch
-        if res:
-            if far:
-                res.extend(far)
-                del far[:]
-                res.sort(key=_time0)
-            next_batch = res[:BATCH_EVENTS]
-            del res[:BATCH_EVENTS]
-            del batch[:]
-        elif far:
-            stragglers = self._stragglers
-            if (
-                stragglers > FALLBACK_MIN_STRAGGLERS
-                and stragglers * FALLBACK_RATIO > self.events_processed
-            ):
-                self._convert_to_heap()
-                return True
-            far.sort(key=_time0)
-            if len(far) <= BATCH_EVENTS:
-                next_batch = far
-                del batch[:]  # recycle the spent list as the new far tier
-                self._far = far = batch
-                self._push = far.append
-            else:
-                next_batch = far[:BATCH_EVENTS]
-                self._res = far[BATCH_EVENTS:]
-                del far[:]
-                del batch[:]
-        else:
-            return False
-        self._batch = next_batch
-        self._cursor = 0
-        self._horizon = next_batch[-1][0]
-        return True
-
-    def _convert_to_heap(self) -> None:
-        """Irreversible fallback for pathological straggler ratios: move
-        every pending event into a ``(when, seq, callback, args)`` heap,
-        preserving the (time, insertion) order as ascending sequence
-        numbers, and pin the horizon so new inserts route to the heap."""
-        pending = self._batch[self._cursor:]
-        rest = self._res + self._far
-        rest.sort(key=_time0)  # stable: reservoir (older) precedes far on ties
-        pending.extend(rest)
-        # A time-sorted list with ascending tie-break is already a valid heap.
-        self._heap = [
-            (when, seq, callback, args)
-            for seq, (when, callback, args) in enumerate(pending)
-        ]
-        self._sequence = len(pending)
-        self._batch = []
-        self._res = []
-        self._far = []
-        self._push = self._far.append
-        self._cursor = 0
-        self._horizon = _INF
-
-    def peek_when(self) -> Optional[float]:
-        """Timestamp of the next event, or None when empty.  O(|far|) in
-        the worst case; used only on cold paths (stall forensics)."""
-        if self._heap is not None:
-            heap = self._heap
-            return heap[0][0] if heap else None
-        if self._cursor < len(self._batch):
-            return self._batch[self._cursor][0]
-        candidates = []
-        if self._res:
-            candidates.append(self._res[0][0])
-        if self._far:
-            candidates.append(min(ev[0] for ev in self._far))
-        return min(candidates) if candidates else None
-
-    def pop_due(self, until: float) -> Optional[Event]:
-        """Pop the next event if its time is <= ``until``; advances the
-        clock and the dispatch counter (live, per event -- the
-        instrumented engine loop pays for what it observes)."""
-        if self._heap is None:
-            batch = self._batch
-            cursor = self._cursor
-            if cursor >= len(batch):
-                if not self._form_batch():
-                    return None
-                if self._heap is None:
-                    batch = self._batch
-                    cursor = 0
-            if self._heap is None:
-                ev = batch[cursor]
-                if ev[0] > until:
-                    return None
-                self._cursor = cursor + 1
-                self.now = ev[0]
-                self.events_processed += 1
-                return ev
-        heap = self._heap
-        if not heap or heap[0][0] > until:
-            return None
-        when, _seq, callback, args = heappop(heap)
-        self.now = when
-        self.events_processed += 1
-        return (when, callback, args)
-
-    def drain(self, until: Optional[float], limit: Optional[int]) -> None:
-        """Dispatch events in order until the queue empties, the next
-        event lies beyond ``until``, or ``events_processed`` reaches
-        ``limit`` (an absolute count).
-
-        The hot path: each batch is dispatched by a bare ``for`` loop over
-        an ``islice`` bound, so the per-event cost is one tuple index, one
-        attribute store (the clock) and the callback itself -- no counter
-        arithmetic, no comparisons.  ``events_processed`` is synced at
-        batch boundaries and on exit.
-        """
-        if self._heap is not None:
-            self._drain_heap(until, limit)
-            return
-        n = self.events_processed
-        batch = self._batch
-        cursor = self._cursor
-        far = self._far
-        try:
-            while True:
-                blen = len(batch)
-                if cursor >= blen:
-                    # ---- batch formation, inlined (= _form_batch; small
-                    # batches make this warm, see the schedule comment) ----
-                    self.events_processed = n
-                    res = self._res
-                    if res:
-                        if far:
-                            res.extend(far)
-                            del far[:]
-                            res.sort(key=_time0)
-                        next_batch = res[:BATCH_EVENTS]
-                        del res[:BATCH_EVENTS]
-                        del batch[:]
-                    elif far:
-                        stragglers = self._stragglers
-                        if (
-                            stragglers > FALLBACK_MIN_STRAGGLERS
-                            and stragglers * FALLBACK_RATIO > n
-                        ):
-                            self._cursor = cursor
-                            self._convert_to_heap()
-                            self._drain_heap(until, limit)
-                            return
-                        far.sort(key=_time0)
-                        if len(far) <= BATCH_EVENTS:
-                            next_batch = far
-                            del batch[:]  # recycle the spent list as far
-                            self._far = far = batch
-                            self._push = far.append
-                        else:
-                            next_batch = far[:BATCH_EVENTS]
-                            self._res = far[BATCH_EVENTS:]
-                            del far[:]
-                            del batch[:]
-                    else:
-                        break
-                    self._batch = batch = next_batch
-                    self._cursor = cursor = 0
-                    self._horizon = batch[-1][0]
-                    blen = len(batch)
-                room = blen - cursor
-                if limit is not None:
-                    budget = limit - n
-                    if budget < room:
-                        room = budget
-                if until is not None:
-                    # First index past the horizon, by binary search: the
-                    # batch is time-sorted.
-                    lo = cursor
-                    hi = blen
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if batch[mid][0] <= until:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    if lo - cursor < room:
-                        room = lo - cursor
-                if room <= 0:
-                    break  # budget or horizon exhausted (batch is not)
-                end = cursor + room
-                for when, callback, cb_args in islice(batch, cursor, end):
-                    self.now = when
-                    callback(*cb_args)
-                # Stragglers may have grown the batch mid-loop (always
-                # ahead of the iterator), so recount what was consumed.
-                blen = len(batch)
-                dispatched = (end if end < blen else blen) - cursor
-                cursor += dispatched
-                n += dispatched
-        except BaseException:
-            # A callback raised mid-batch: the exact dispatch position is
-            # unknowable (islice does not expose it).  Resync to the first
-            # event at the current timestamp -- nothing earlier than `now`
-            # can replay, events at exactly `now` might.  Documented
-            # limitation; discard the simulator after an exception.
-            batch = self._batch
-            target = self.now
-            lo, hi = 0, len(batch)
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if batch[mid][0] < target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            self._cursor = lo
-            self.events_processed = n
-            raise
-        self._cursor = cursor
-        self.events_processed = n
-
-    def _drain_heap(self, until: Optional[float], limit: Optional[int]) -> None:
-        """Post-fallback drain: the heap loop, with the live counter."""
-        heap = self._heap
-        assert heap is not None
-        pop = heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            if limit is not None and self.events_processed >= limit:
-                break
-            when, _, callback, args = pop(heap)
-            self.now = when
-            callback(*args)
-            self.events_processed += 1

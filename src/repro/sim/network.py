@@ -104,10 +104,8 @@ class Host(Node):
     @property
     def uplink(self) -> Port:
         """The host's single egress port (hosts are single-homed here)."""
-        if len(self.ports) != 1:
-            raise RuntimeError(
-                f"host {self.name} has {len(self.ports)} ports; expected 1"
-            )
+        if not self.ports:
+            raise RuntimeError(f"host {self.name} has no port; expected 1")
         return self.ports[0]
 
     def register_endpoint(self, flow_id: int, endpoint: Endpoint) -> None:
@@ -118,9 +116,16 @@ class Host(Node):
     def unregister_endpoint(self, flow_id: int) -> None:
         self._endpoints.pop(flow_id, None)
 
+    def attach_port(self, port: Port, neighbor_name: str) -> None:
+        if self.ports:
+            raise RuntimeError(
+                f"host {self.name} already has an uplink; hosts are single-homed"
+            )
+        super().attach_port(port, neighbor_name)
+
     def transmit(self, packet: Packet) -> None:
         """Send a packet from a local transport towards the network."""
-        port = self.uplink
+        port = self.ports[0]  # single-homed: attach_port admits one port
         if self.egress_delay_fn is not None:
             delay = self.egress_delay_fn(packet)
             if delay > 0:

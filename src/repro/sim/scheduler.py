@@ -71,14 +71,30 @@ class Scheduler(ABC):
 
 
 class FifoScheduler(Scheduler):
-    """Single FIFO queue."""
+    """Single FIFO queue.
+
+    The default scheduler of every port, so its per-packet operations work
+    on ``queues[0]`` directly instead of the base class's service-class
+    lookup and scans over the queue list.
+    """
 
     def __init__(self) -> None:
         super().__init__(num_queues=1)
 
+    def enqueue(self, packet: Packet) -> None:
+        self.queues[0].push(packet)
+
     def dequeue(self) -> Optional[Packet]:
         queue = self.queues[0]
         return queue.pop() if not queue.is_empty() else None
+
+    @property
+    def total_bytes(self) -> int:
+        return self.queues[0].byte_length
+
+    @property
+    def total_packets(self) -> int:
+        return self.queues[0].packet_length
 
 
 class StrictPriorityScheduler(Scheduler):

@@ -67,8 +67,6 @@ class RunManifest:
     started_unix: float = 0.0
     wall_seconds: Optional[float] = None
     events: Optional[int] = None
-    scheduler: Optional[str] = None
-    """Event-queue implementation the run used (``repro.sim.eventq``)."""
     retry_backoff: Optional[float] = None
     """Base seconds of the executor's seeded retry backoff, when enabled
     (``--retry-backoff`` / ``REPRO_RETRY_BACKOFF``): delays are a pure

@@ -18,6 +18,7 @@ Layers (dependency order):
 
 from .baselines import (
     BASELINE_SCHEMA_VERSION,
+    SPEC_SCHEMA_VERSION,
     Baseline,
     BaselineManifest,
     DirtyTreeError,
@@ -71,6 +72,7 @@ from .stats import (
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
+    "SPEC_SCHEMA_VERSION",
     "Baseline",
     "BaselineManifest",
     "DirtyTreeError",

@@ -5,8 +5,8 @@ metric samples (one list per (figure, cell, metric)), plus a manifest that
 pins everything needed to detect staleness later:
 
 * ``baseline_schema`` -- the format of this file;
-* ``spec_schema`` -- the executor's :data:`CACHE_SCHEMA_VERSION`, bumped
-  whenever simulation semantics change;
+* ``spec_schema`` -- :data:`SPEC_SCHEMA_VERSION`, bumped whenever
+  simulation semantics change;
 * the package version, git SHA and dirty flag at capture time;
 * per-cell :meth:`RunSpec.token` lists, so a change to the validation
   grid's spec construction (different parameters hashing differently) is
@@ -27,11 +27,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..experiments.executor import CACHE_SCHEMA_VERSION
 from ..telemetry.provenance import git_sha
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION",
+    "SPEC_SCHEMA_VERSION",
     "BaselineManifest",
     "Baseline",
     "StaleBaselineError",
@@ -42,6 +42,13 @@ __all__ = [
 
 BASELINE_SCHEMA_VERSION = 1
 """Bump when the baseline JSON layout changes incompatibly."""
+
+SPEC_SCHEMA_VERSION = 1
+"""Bump when simulation semantics change, i.e. when the same run specs
+would produce different samples; recapture the baselines in the same
+change.  Kept apart from the executor's ``CACHE_SCHEMA_VERSION``, which
+also moves for cache-file format changes that leave every result as it
+was."""
 
 
 class StaleBaselineError(RuntimeError):
@@ -89,7 +96,7 @@ class BaselineManifest:
 
     scale: str
     baseline_schema: int = BASELINE_SCHEMA_VERSION
-    spec_schema: int = CACHE_SCHEMA_VERSION
+    spec_schema: int = SPEC_SCHEMA_VERSION
     package_version: str = __version__
     git_sha: Optional[str] = None
     git_dirty: bool = False
@@ -169,10 +176,10 @@ class Baseline:
                 f"current {BASELINE_SCHEMA_VERSION}; recapture with "
                 "'repro validate capture'"
             )
-        if self.manifest.spec_schema != CACHE_SCHEMA_VERSION:
+        if self.manifest.spec_schema != SPEC_SCHEMA_VERSION:
             raise StaleBaselineError(
                 f"baseline spec schema {self.manifest.spec_schema} != "
-                f"current CACHE_SCHEMA_VERSION {CACHE_SCHEMA_VERSION}; "
+                f"current SPEC_SCHEMA_VERSION {SPEC_SCHEMA_VERSION}; "
                 "simulation semantics changed -- recapture the baseline"
             )
 

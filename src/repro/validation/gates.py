@@ -5,7 +5,7 @@ per-seed metric samples into a checked-in JSON baseline.  ``run_gate``
 re-executes the *same* grid (pure cache hits when nothing changed),
 compares cell-by-cell against the baseline with the statistical machinery
 in :mod:`.stats`, evaluates the paper-trend invariants in
-:mod:`.invariants`, and optionally applies an engine-throughput perf gate
+:mod:`.invariants`, and optionally applies a packet-throughput perf gate
 against a benchmark payload embedded at capture time.
 
 Every verdict is mirrored into telemetry
@@ -80,7 +80,7 @@ PERF_FAIL_RATIO = 0.5
 
 @dataclass(frozen=True)
 class PerfVerdict:
-    """Engine-throughput comparison against the baseline bench payload."""
+    """Packet-run throughput comparison against the baseline bench payload."""
 
     status: str
     ratio: Optional[float]
@@ -98,25 +98,29 @@ class PerfVerdict:
         }
 
 
-def _bench_eps(payload: Optional[dict]) -> Optional[float]:
-    if not payload:
-        return None
-    engine = payload.get("engine") or {}
-    eps = engine.get("events_per_sec")
-    return float(eps) if eps else None
+def _packet_bench(payload: Optional[dict]) -> Tuple[Optional[float], Optional[int]]:
+    """``(events_per_sec, events)`` of a payload's packet benchmark."""
+    packet = (payload or {}).get("packet") or {}
+    eps = packet.get("events_per_sec")
+    return (float(eps) if eps else None), packet.get("events")
 
 
 def evaluate_perf(
     current: Optional[dict], baseline: Optional[dict]
 ) -> PerfVerdict:
-    """Compare ``events_per_sec`` of two ``BENCH_engine.json`` payloads.
+    """Compare ``packet.events_per_sec`` of two ``BENCH_engine.json``
+    payloads: the star DCTCP run, whose events carry the real packet
+    path, rather than a bare self-rescheduling loop.
 
-    Missing either side skips the gate.  A host mismatch (different CPU
-    count or Python version) caps the verdict at WARN -- absolute
-    throughput is not comparable across machines.
+    Missing either side skips the gate.  The packet run is deterministic,
+    so a different ``packet.events`` count means the two payloads did not
+    simulate the same thing: that fails on any host, before any ratio is
+    read.  A host mismatch (different CPU count or Python version) caps a
+    throughput FAIL at WARN -- absolute throughput is not comparable
+    across machines.
     """
-    current_eps = _bench_eps(current)
-    baseline_eps = _bench_eps(baseline)
+    current_eps, current_events = _packet_bench(current)
+    baseline_eps, baseline_events = _packet_bench(baseline)
     if current_eps is None or baseline_eps is None:
         return PerfVerdict(
             status=SKIP,
@@ -126,6 +130,21 @@ def evaluate_perf(
             detail="bench payload missing on one side; perf gate skipped",
         )
     ratio = current_eps / baseline_eps
+    if (
+        current_events is not None
+        and baseline_events is not None
+        and current_events != baseline_events
+    ):
+        return PerfVerdict(
+            status=FAIL,
+            ratio=ratio,
+            current_eps=current_eps,
+            baseline_eps=baseline_eps,
+            detail=(
+                f"packet run dispatched {current_events} events, baseline "
+                f"{baseline_events}: the deterministic run changed"
+            ),
+        )
     host_mismatch = []
     for key, current_value in (
         ("cpu_count", (current or {}).get("cpu_count")),
@@ -202,7 +221,7 @@ class ValidationReport:
         ]
         names += [v.name for v in self.invariants if v.status == FAIL]
         if self.perf is not None and self.perf.status == FAIL:
-            names.append("perf.engine_events_per_sec")
+            names.append("perf.packet_events_per_sec")
         return names
 
     def to_dict(self) -> dict:

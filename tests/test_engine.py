@@ -109,11 +109,10 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 5
 
-    def test_events_processed_is_live_mid_run_on_heap(self):
-        # The heap scheduler updates the counter per dispatch: each
-        # callback sees the count of *prior* dispatches, not a value
-        # batched in at the end of run().
-        sim = Simulator(scheduler="heap")
+    def test_events_processed_is_live_mid_run_on_heap(self, sim):
+        # The heap loop updates the counter per dispatch: each callback
+        # sees the count of *prior* dispatches, not a value batched in at
+        # the end of run().
         observed = []
         for index in range(4):
             sim.schedule(0.1 * (index + 1), lambda: observed.append(sim.events_processed))
@@ -121,11 +120,7 @@ class TestRunControl:
         assert observed == [0, 1, 2, 3]
         assert sim.events_processed == 4
 
-    def test_events_processed_exact_between_runs_on_calendar(self):
-        # The calendar scheduler's fast drain syncs the counter at batch
-        # boundaries (that is where its throughput comes from), so only
-        # exactness *between* run() calls is contractual there.
-        sim = Simulator(scheduler="calendar")
+    def test_events_processed_exact_between_runs(self, sim):
         for index in range(4):
             sim.schedule(0.1 * (index + 1), lambda: None)
         sim.run(max_events=2)
@@ -133,21 +128,17 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 4
 
-    def test_events_processed_is_live_when_instrumented(self):
+    def test_events_processed_is_live_when_instrumented(self, sim):
         # With a profiler attached the engine runs the per-event
-        # instrumented loop, where both schedulers keep the counter live.
+        # instrumented loop, which counts an event before calling it.
         from repro.telemetry import RunProfiler
 
-        for name in ("calendar", "heap"):
-            sim = Simulator(scheduler=name)
-            sim.profiler = RunProfiler()
-            observed = []
-            for index in range(4):
-                sim.schedule(
-                    0.1 * (index + 1), lambda: observed.append(sim.events_processed)
-                )
-            sim.run()
-            assert observed == [1, 2, 3, 4], name
+        sim.profiler = RunProfiler()
+        observed = []
+        for index in range(4):
+            sim.schedule(0.1 * (index + 1), lambda: observed.append(sim.events_processed))
+        sim.run()
+        assert observed == [1, 2, 3, 4]
 
     def test_events_processed_accumulates_across_runs(self, sim):
         for index in range(6):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.network import Network
-from repro.sim.units import gbps, us
+from repro.sim.units import gbps, mb, us
 
 from conftest import make_packet, make_two_host_network
 
@@ -106,6 +106,12 @@ class TestHost:
         a = net.add_host("a")
         with pytest.raises(RuntimeError):
             _ = a.uplink  # no ports yet
+
+    def test_second_uplink_rejected(self):
+        net, a, _, _ = make_two_host_network()
+        other = net.add_switch("sw2")
+        with pytest.raises(RuntimeError, match="single-homed"):
+            net.connect(a, other, gbps(10), us(2), mb(1))
 
     def test_duplicate_endpoint_rejected(self):
         net, a, b, _ = make_two_host_network()

@@ -1,5 +1,7 @@
 """Tests for golden-baseline serialization and staleness detection."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.validation.baselines import (
@@ -10,6 +12,8 @@ from repro.validation.baselines import (
     StaleBaselineError,
     ensure_clean_tree,
 )
+
+CHECKED_IN_TINY = Path(__file__).resolve().parent.parent / "baselines" / "tiny.json"
 
 
 def make_baseline(**manifest_overrides) -> Baseline:
@@ -71,6 +75,19 @@ class TestStaleness:
 
     def test_old_spec_schema_raises(self):
         baseline = make_baseline(spec_schema=-1)
+        with pytest.raises(StaleBaselineError, match="spec schema"):
+            baseline.check_compatible()
+
+    def test_checked_in_tiny_baseline_is_compatible(self):
+        Baseline.load(CHECKED_IN_TINY).check_compatible()
+
+    def test_semantics_bump_makes_checked_in_baseline_stale(self, monkeypatch):
+        import repro.validation.baselines as baselines
+
+        baseline = Baseline.load(CHECKED_IN_TINY)
+        monkeypatch.setattr(
+            baselines, "SPEC_SCHEMA_VERSION", baselines.SPEC_SCHEMA_VERSION + 1
+        )
         with pytest.raises(StaleBaselineError, match="spec schema"):
             baseline.check_compatible()
 

@@ -156,11 +156,11 @@ class TestStaleness:
 
 class TestPerfGate:
     @staticmethod
-    def bench(eps, cpu=4, python="3.11.7"):
+    def bench(eps, cpu=4, python="3.11.7", events=787_799):
         return {
             "cpu_count": cpu,
             "python": python,
-            "engine": {"events_per_sec": eps},
+            "packet": {"events_per_sec": eps, "events": events},
         }
 
     def test_same_throughput_passes(self):
@@ -196,7 +196,24 @@ class TestPerfGate:
 
         assert evaluate_perf(None, self.bench(1e6)).status == "skip"
         assert evaluate_perf(self.bench(1e6), None).status == "skip"
-        assert evaluate_perf(self.bench(1e6), {"engine": {}}).status == "skip"
+        assert evaluate_perf(self.bench(1e6), {"packet": {}}).status == "skip"
+
+    def test_bare_loop_rate_is_not_gated(self):
+        from repro.validation.gates import evaluate_perf
+
+        current = dict(self.bench(1e6), engine={"events_per_sec": 1e3})
+        baseline = dict(self.bench(1e6), engine={"events_per_sec": 1e6})
+        assert evaluate_perf(current, baseline).status == "pass"
+
+    def test_event_count_change_fails_on_any_host(self):
+        from repro.validation.gates import evaluate_perf
+
+        for cpu in (4, 16):  # matching host, then a mismatched one
+            verdict = evaluate_perf(
+                self.bench(2e6, events=787_800), self.bench(1e6, cpu=cpu)
+            )
+            assert verdict.status == "fail"
+            assert "787800" in verdict.detail and "787799" in verdict.detail
 
 
 class TestBandSelection:
